@@ -26,7 +26,12 @@ class GamePayoffs:
 
     def __post_init__(self) -> None:
         for field in ("R", "S", "T", "P"):
-            value = float(getattr(self, field))
+            raw = getattr(self, field)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"payoff {field} must be a number, "
+                                 f"got {raw!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"payoff {field} must be finite")
             object.__setattr__(self, field, value)

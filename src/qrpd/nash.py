@@ -9,8 +9,6 @@ registered and fall back to per-cell periodic resummation otherwise.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, TextIO, Tuple
@@ -44,6 +42,8 @@ class NEClassification:
 
 def classify_codes(a11, a12, a21, a22, tie_tol: float = DEFAULT_TIE_TOL):
     """Vectorized verdict codes: 0 neither, 1 first, 2 second, 3 both."""
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ValueError(f"tie tolerance must be finite and >= 0, got {tie_tol}")
     first = np.asarray(a11) > np.asarray(a21) + tie_tol
     second = np.asarray(a22) > np.asarray(a12) + tie_tol
     return first.astype(np.int8) + 2 * second.astype(np.int8)
@@ -203,26 +203,14 @@ class ScanGrid:
                     f"{self.a22[i, j]:.12g},{self.verdict_at(i, j).value}\n")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("QRPD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def scan_region(pair: str, g: GamePayoffs,
                 w_steps: int = DEFAULT_STEPS, eps_steps: int = DEFAULT_STEPS,
                 w_max: float = DEFAULT_W_MAX,
                 tie_tol: float = DEFAULT_TIE_TOL,
                 eps_max: float = DEFAULT_EPS_MAX) -> ScanGrid:
     """Classify a pair on a regular grid.  Closed-form pairs are evaluated
-    in one vectorized pass; engine-only pairs are computed cell by cell,
-    split across threads capped by QRPD_THREADS (0 = auto), the assembly
-    order being row-major regardless of scheduling."""
+    in one vectorized pass; engine-only pairs are computed cell by cell in
+    row-major order."""
     if w_steps < 2 or eps_steps < 2:
         raise ValueError("need at least 2 steps per axis")
     if not 0.0 <= w_max < 1.0:
@@ -238,16 +226,11 @@ def scan_region(pair: str, g: GamePayoffs,
         a12 = np.empty_like(a11)
         a21 = np.empty_like(a11)
         a22 = np.empty_like(a11)
-
-        def fill_row(i: int) -> None:
-            w = float(w_axis[i])
+        for i, w in enumerate(w_axis):
             for j, e in enumerate(eps_axis):
-                m = engine_meta_matrix(spec.key, w, float(e), g)
+                m = engine_meta_matrix(spec.key, float(w), float(e), g)
                 a11[i, j], a12[i, j] = m[0]
                 a21[i, j], a22[i, j] = m[1]
-
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            list(pool.map(fill_row, range(w_steps)))
     codes = classify_codes(a11, a12, a21, a22, tie_tol)
     return ScanGrid(spec.key, w_axis, eps_axis,
                     np.asarray(a11, dtype=float), np.asarray(a12, dtype=float),

@@ -84,13 +84,12 @@ def make_unitary(theta: float, alpha: float, phi: float) -> Unitary2:
 
     Entries are g = cos(theta/2) - i cos(alpha) sin(theta/2) and
     d = -i exp(-i phi) sin(alpha) sin(theta/2).  Angles outside the
-    canonical ranges are folded (theta, phi mod 2*pi; alpha mod pi)
-    since the map is periodic.
+    canonical ranges are folded mod 2*pi since the map is periodic.
     """
     theta, alpha, phi = float(theta), float(alpha), float(phi)
     _require_finite(theta=theta, alpha=alpha, phi=phi)
     theta %= TWO_PI
-    alpha %= math.pi
+    alpha %= TWO_PI
     phi %= TWO_PI
     half = 0.5 * theta
     g = math.cos(half) - 1j * math.cos(alpha) * math.sin(half)

@@ -146,6 +146,12 @@ def _check_rounds(rounds: int) -> int:
     return rounds
 
 
+def check_discount(w: float) -> None:
+    """Validate a discount factor, 0 <= w < 1."""
+    if not 0.0 <= w < 1.0:
+        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
+
+
 def _round_arrays(stratA: Strategy, stratB: Strategy, eps: float,
                   rounds: int) -> Tuple[List[Tuple[ActionTriple, ActionTriple]],
                                         np.ndarray, np.ndarray]:
@@ -177,10 +183,9 @@ def trace(stratA: Strategy, stratB: Strategy, eps: float, g: GamePayoffs,
 
 def truncation_rounds(g: GamePayoffs, w: float, tol: float) -> int:
     """Smallest M with w^M * max|payoff| / (1 - w) below tol."""
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    check_discount(w)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     amax = g.max_abs()
     if w == 0.0 or amax == 0.0:
         return 1
@@ -236,33 +241,15 @@ def _find_cycle(values: np.ndarray, tol: float) -> Optional[Tuple[int, int]]:
 class PeriodInfo:
     """Detected environment cycle: probability vectors repeat with the given
     period after the preperiod.  period is None when no cycle was found
-    within rounds_searched.  state_recurrent reports whether the amplitudes
-    themselves also recur up to a global phase."""
+    within rounds_searched."""
 
     preperiod: Optional[int]
     period: Optional[int]
     rounds_searched: int
-    state_recurrent: Optional[bool] = None
 
     @property
     def is_periodic(self) -> bool:
         return self.period is not None
-
-
-def _amplitude_recurrence(states: np.ndarray, s: int, p: int,
-                          tol: float = 1e-9) -> bool:
-    n = len(states)
-    for i in range(s, n - p):
-        ref = states[i]
-        k = int(np.argmax(np.abs(ref)))
-        if abs(ref[k]) < tol:
-            return False
-        phase = states[i + p][k] / ref[k]
-        if abs(abs(phase) - 1.0) > tol:
-            return False
-        if np.max(np.abs(states[i + p] - phase * ref)) > tol:
-            return False
-    return True
 
 
 def detect_period(stratA: Strategy, stratB: Strategy, eps: float,
@@ -274,12 +261,20 @@ def detect_period(stratA: Strategy, stratB: Strategy, eps: float,
     if search_limit < 2:
         raise ValueError("search_limit must be >= 2")
     _check_rounds(search_limit)
-    _, states, probs = _round_arrays(stratA, stratB, eps, search_limit)
+    _, _, probs = _round_arrays(stratA, stratB, eps, search_limit)
     found = _find_cycle(probs, PERIOD_TOL)
     if found is None:
-        return PeriodInfo(None, None, search_limit, None)
-    s, p = found
-    return PeriodInfo(s, p, search_limit, _amplitude_recurrence(states, s, p))
+        return PeriodInfo(None, None, search_limit)
+    return PeriodInfo(*found, search_limit)
+
+
+def _resum(payoffs: np.ndarray, s: int, p: int, w: float) -> Tuple[float, float]:
+    """head + w^s * (one cycle) / (1 - w^p) for a payoff stream whose rows
+    repeat with period p after the first s."""
+    head_a, head_b = _discounted(payoffs[:s], w)
+    cyc_a, cyc_b = _discounted(payoffs[s:s + p], w)
+    scale = w ** s / (1.0 - w ** p)
+    return head_a + scale * cyc_a, head_b + scale * cyc_b
 
 
 def periodic_payoff(stratA: Strategy, stratB: Strategy, eps: float,
@@ -288,21 +283,14 @@ def periodic_payoff(stratA: Strategy, stratB: Strategy, eps: float,
                     ) -> Tuple[float, float]:
     """Exact discounted payoffs by geometric resummation of the detected
     cycle: head + w^s * (one cycle) / (1 - w^p)."""
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
+    check_discount(w)
     info = detect_period(stratA, stratB, eps, search_limit)
     if not info.is_periodic:
         raise PeriodNotFoundError(
             f"no environment cycle within {search_limit} rounds for "
             f"{stratA.label()} vs {stratB.label()}")
     s, p = info.preperiod, info.period
-    t = trace(stratA, stratB, eps, g, s + p)
-    head = t.payoffs[:s]
-    cycle = t.payoffs[s:s + p]
-    head_a, head_b = _discounted(head, w) if s else (0.0, 0.0)
-    cyc_a, cyc_b = _discounted(cycle, w)
-    scale = w ** s / (1.0 - w ** p)
-    return head_a + scale * cyc_a, head_b + scale * cyc_b
+    return _resum(trace(stratA, stratB, eps, g, s + p).payoffs, s, p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +330,12 @@ def classical_periodic_payoff(stratA: Strategy, stratB: Strategy,
                               g: GamePayoffs, w: float,
                               search_limit: int = DEFAULT_PERIOD_LIMIT
                               ) -> Tuple[float, float]:
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
+    check_discount(w)
     pay = classical_payoff_sequence(stratA, stratB, g, search_limit)
     found = _find_cycle(pay, PERIOD_TOL)
     if found is None:
         raise PeriodNotFoundError("no cycle in the classical payoff stream")
-    s, p = found
-    head_a, head_b = _discounted(pay[:s], w) if s else (0.0, 0.0)
-    cyc_a, cyc_b = _discounted(pay[s:s + p], w)
-    scale = w ** s / (1.0 - w ** p)
-    return head_a + scale * cyc_a, head_b + scale * cyc_b
+    return _resum(pay, *found, w)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 from .actions import ActionTriple
 from .game import GamePayoffs
 from .qcore import check_epsilon, round_operator
-from .repeated import (Strategy, action_sequence, constant, trace,
-                       truncated_payoff, truncation_rounds)
+from .repeated import (Strategy, action_sequence, check_discount, constant,
+                       trace, truncated_payoff, truncation_rounds)
 
 ROW_SUM_TOL = 1e-12
 MC_TAIL_TOL = 1e-10
@@ -65,8 +65,7 @@ def markov_value(uA: ActionTriple, uB: ActionTriple, eps: float,
 
     Solves (I - w P) v = P r; the system is never singular for w < 1.
     """
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
+    check_discount(w)
     check_epsilon(eps)
     P = propagator_matrix(uA, uB, eps).transition
     lhs = np.eye(4) - w * P
@@ -115,8 +114,6 @@ def monte_carlo_payoff(stratA: Strategy, stratB: Strategy, eps: float,
     """Sampled discounted payoff of the collapse model: each round evolves
     the current basis environment one sandwich, measures, accrues the
     discounted payoff of the outcome, and restarts from it."""
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"discount factor must satisfy 0 <= w < 1, got {w}")
     rounds = truncation_rounds(g, w, MC_TAIL_TOL)
     cum = _round_transitions(stratA, stratB, eps, rounds)
     a_vec, b_vec = g.alice_vector(), g.bob_vector()

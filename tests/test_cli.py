@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrpd.cli import main
 
@@ -179,3 +183,76 @@ def test_computation_error_exits_1(capsys):
     code, _, err = run_cli(capsys, "oneshot", "--actions", "H,H",
                            "--epsilon", "2.0")
     assert code == 1
+
+
+
+HOSTILE = ("nan", "inf", "-5", "1e308", "null")
+# the same values as JSON spells them, for a slot of a --payoffs object
+HOSTILE_JSON = ("NaN", "Infinity", "-5", "1e308", "null")
+VALID = {"payoffs": "3,0,5,1", "w": "0.5", "epsilon": "0.3", "tol": "1e-12",
+         "tie-tol": "1e-9"}
+
+HOSTILE_PAYOFFS = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.builds(lambda v, k: ",".join(v if i == k else d
+                                    for i, d in enumerate("3051")),
+              st.sampled_from(HOSTILE), st.integers(0, 3)),
+    st.builds(lambda v, k: "{" + ",".join(
+        f'"{name}":{v if i == k else d}'
+        for i, (name, d) in enumerate(zip("RSTP", "3051"))) + "}",
+        st.sampled_from(HOSTILE_JSON), st.integers(0, 3)),
+)
+
+
+@st.composite
+def hostile_argv(draw):
+    """One subcommand with one or two of its value flags made hostile and
+    the rest valid."""
+    command = draw(st.sampled_from(("repeated", "matrix", "scan")))
+    if command == "repeated":
+        argv = ["repeated", "--a", draw(st.sampled_from(("CTFT", "ALLH"))),
+                "--b", "ALLD",
+                "--mode", draw(st.sampled_from(("truncated", "periodic",
+                                                "markov")))]
+        names = ("payoffs", "w", "epsilon", "tol")
+    elif command == "matrix":
+        argv = ["matrix", "--pair", "ctft-alld"]
+        names = ("payoffs", "w", "epsilon")
+    else:
+        argv = ["scan", "--pair", "ctft-alld", "--w-steps", "3",
+                "--eps-steps", "4"]
+        names = ("payoffs", "tie-tol")
+    hostile = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
+                            unique=True))
+    for name in names:
+        if name not in hostile:
+            value = VALID[name]
+        elif name == "payoffs":
+            value = draw(HOSTILE_PAYOFFS)
+        else:
+            value = draw(st.sampled_from(HOSTILE))
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=hostile_argv())
+@example(argv=["repeated", "--a", "ALLH", "--b", "ALLD", "--w=0.5",
+               "--epsilon=0.3", "--tol=inf"])
+@example(argv=["matrix", "--pair", "ctft-alld", "--w=0.5", "--epsilon=0.3",
+               '--payoffs={"R":null,"S":0,"T":5,"P":1}'])
+@example(argv=["scan", "--pair", "ctft-alld", "--w-steps", "3",
+               "--eps-steps", "4", "--tie-tol=-5"])
+@example(argv=["scan", "--pair", "ctft-alld", "--w-steps", "3",
+               "--eps-steps", "4", "--tie-tol=nan"])
+def test_hostile_flag_values_keep_the_error_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv

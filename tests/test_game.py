@@ -32,6 +32,10 @@ def test_payoffs_parse_forms():
     assert GamePayoffs.parse('{"R":3,"S":0,"T":5,"P":1}') == GamePayoffs(3, 0, 5, 1)
     with pytest.raises(ValueError):
         GamePayoffs.parse("3,0,5")
+    with pytest.raises(ValueError):
+        GamePayoffs.parse('{"R":null,"S":0,"T":5,"P":1}')
+    with pytest.raises(ValueError):
+        GamePayoffs.parse('{"R":3,"S":[0],"T":5,"P":1}')
 
 
 def test_one_shot_examples(pd_game):

@@ -6,8 +6,9 @@ import pytest
 
 from qrpd.game import GamePayoffs
 from qrpd.nash import (Verdict, analytic_condition, classical_baseline,
-                       classify_strict_ne, condition_pairs, scan_region)
-from qrpd.repeated import closed_form_meta_matrix
+                       classify_codes, classify_strict_ne, condition_pairs,
+                       scan_region)
+from qrpd.repeated import closed_form_meta_matrix, engine_meta_matrix
 
 
 def first_holds(verdict: Verdict) -> bool:
@@ -151,20 +152,27 @@ def test_scan_validates_arguments(pd_game):
         scan_region("ctft-alld", pd_game, w_steps=1)
     with pytest.raises(ValueError):
         scan_region("ctft-alld", pd_game, w_max=1.0)
+    # a negative tolerance would call a deviation gain of up to 5 strict NE,
+    # and nan would call every cell NEITHER
+    for tie_tol in (-5.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            scan_region("ctft-alld", pd_game, w_steps=2, eps_steps=2,
+                        tie_tol=tie_tol)
+        with pytest.raises(ValueError):
+            classify_codes(3.0, 0.0, 5.0, 1.0, tie_tol)
 
 
 def test_scan_fallback_engine_pair(pd_game):
     grid = scan_region("allr3-ctft", pd_game, w_steps=3, eps_steps=3)
-    assert np.all(np.isfinite(grid.a11))
-
-
-def test_scan_independent_of_thread_cap(pd_game, monkeypatch):
-    monkeypatch.setenv("QRPD_THREADS", "1")
-    g1 = scan_region("allr3-ctft", pd_game, w_steps=4, eps_steps=3)
-    monkeypatch.setenv("QRPD_THREADS", "4")
-    g2 = scan_region("allr3-ctft", pd_game, w_steps=4, eps_steps=3)
-    np.testing.assert_array_equal(g1.codes, g2.codes)
-    np.testing.assert_array_equal(g1.a12, g2.a12)
+    for i, w in enumerate(grid.w_axis):
+        for j, eps in enumerate(grid.eps_axis):
+            m = engine_meta_matrix("allr3-ctft", float(w), float(eps), pd_game,
+                                   method="truncated")
+            cell = [[grid.a11[i, j], grid.a12[i, j]],
+                    [grid.a21[i, j], grid.a22[i, j]]]
+            np.testing.assert_allclose(cell, m, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(
+        grid.codes, classify_codes(grid.a11, grid.a12, grid.a21, grid.a22))
 
 
 def test_scan_csv_schema(pd_game):

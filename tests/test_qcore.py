@@ -14,6 +14,12 @@ ANGLE = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True,
 ALPHA = st.floats(min_value=0.0, max_value=math.pi, exclude_max=True,
                   allow_nan=False)
 EPSILON = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
+WIDE_ANGLE = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
+                       allow_nan=False)
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]]),
+          np.array([[1, 0], [0, -1]], dtype=complex))
 
 C = make_unitary(0.0, 0.0, 0.0)
 D = make_unitary(math.pi, math.pi / 2, 0.0)
@@ -132,6 +138,21 @@ def test_thousand_round_norm_stability():
 def test_make_unitary_is_unitary(theta, alpha, phi):
     u = make_unitary(theta, alpha, phi).matrix
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= ALGEBRA_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=WIDE_ANGLE, alpha=WIDE_ANGLE, phi=WIDE_ANGLE)
+def test_make_unitary_is_the_bloch_rotation(theta, alpha, phi):
+    """cos(theta/2) I - i sin(theta/2) n.sigma about the axis
+    n = (sin a cos p, sin a sin p, cos a), up to the global sign that the
+    theta fold may flip."""
+    n = (math.sin(alpha) * math.cos(phi), math.sin(alpha) * math.sin(phi),
+         math.cos(alpha))
+    n_sigma = sum(c * s for c, s in zip(n, _PAULI))
+    ref = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * n_sigma
+    u = make_unitary(theta, alpha, phi).matrix
+    gap = min(np.max(np.abs(u - ref)), np.max(np.abs(u + ref)))
+    assert gap <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

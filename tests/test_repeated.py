@@ -121,6 +121,9 @@ def test_truncated_rejects_bad_inputs(pd_game):
         truncated_payoff(ALLC, ALLC, 0.3, pd_game, 1.0)
     with pytest.raises(ValueError):
         truncated_payoff(ALLC, ALLC, 0.3, pd_game, 0.5, tol=0.0)
+    for tol in (math.inf, math.nan, -5.0):
+        with pytest.raises(ValueError):
+            truncated_payoff(ALLC, ALLC, 0.3, pd_game, 0.5, tol=tol)
 
 
 def test_w_zero_gives_first_round_payoff(pd_game):
@@ -152,7 +155,6 @@ def test_detect_period_constant_benchmark_pairs():
 def test_detect_period_r3_and_mixed_pair():
     info = detect_period(ALLR3, ALLR3, 0.3, 200)
     assert (info.preperiod, info.period) == (0, 3)
-    assert info.state_recurrent is True
     mixed_a = constant(ActionTriple(math.pi, math.pi / 2, 0.0))
     mixed_b = constant(ActionTriple(2 * math.pi / 3, math.pi / 2, 0.0))
     info = detect_period(mixed_a, mixed_b, 0.3, 200)
