@@ -12,6 +12,8 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import nash, repeated, stochastic
 from .actions import ActionTriple, parse_action, parse_angle
 from .game import GamePayoffs, one_shot_payoffs
@@ -103,20 +105,16 @@ def write_svg(grid: ScanGrid, stream) -> None:
                                   Verdict.SECOND, Verdict.BOTH)]
     colors = [SVG_COLORS[Verdict(v)] for v in verdicts]
     for i in range(n_w):
-        j = 0
-        while j < n_e:
-            code = int(grid.codes[i, j])
-            k = j
-            while k < n_e and int(grid.codes[i, k]) == code:
-                k += 1
-            color = colors[code]
+        row = grid.codes[i]
+        bounds = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), n_e]
+        for j, k in zip(bounds[:-1], bounds[1:]):
+            color = colors[int(row[j])]
             if color != "white":
                 x = left + i * cell_w
                 y = top + (n_e - k) * cell_h
                 lines.append(
                     f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
                     f'height="{(k - j) * cell_h:.2f}" fill="{color}"/>')
-            j = k
     w_lo, w_hi = grid.w_axis[0], grid.w_axis[-1]
     e_lo, e_hi = grid.eps_axis[0], grid.eps_axis[-1]
     lines += [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Dict, Optional, TextIO, Tuple
 
 import numpy as np
@@ -193,14 +194,31 @@ class ScanGrid:
 
     def write_csv(self, stream: TextIO) -> None:
         """Rows in row-major (w outer, eps inner) order, 12 significant
-        digits, class column holding the verdict name."""
+        digits, class column holding the verdict name.  Each w row is
+        written with one call, and each distinct entry value of a row is
+        formatted once."""
         stream.write("w,epsilon,a11,a12,a21,a22,class\n")
-        for i, w in enumerate(self.w_axis):
-            for j, e in enumerate(self.eps_axis):
-                stream.write(
-                    f"{w:.12g},{e:.12g},{self.a11[i, j]:.12g},"
-                    f"{self.a12[i, j]:.12g},{self.a21[i, j]:.12g},"
-                    f"{self.a22[i, j]:.12g},{self.verdict_at(i, j).value}\n")
+        names = np.array([v.value for v in _CODE_TO_VERDICT], dtype=object)
+        eps_text = [_FLOAT_FORMAT % e for e in self.eps_axis.tolist()]
+        for i, w in enumerate(self.w_axis.tolist()):
+            columns = [_format_distinct(a[i])
+                       for a in (self.a11, self.a12, self.a21, self.a22)]
+            rows = zip(repeat(_FLOAT_FORMAT % w), eps_text, *columns,
+                       names[self.codes[i]].tolist())
+            stream.write("\n".join(map(",".join, rows)) + "\n")
+
+
+_FLOAT_FORMAT = "%.12g"
+
+
+def _format_distinct(values: np.ndarray) -> list:
+    """Format a 1-d float row, each distinct bit pattern once: -0.0 and
+    0.0 print differently, so equal values are not merged."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array([_FLOAT_FORMAT % v for v in values[first].tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
 
 
 def scan_region(pair: str, g: GamePayoffs,
@@ -210,7 +228,8 @@ def scan_region(pair: str, g: GamePayoffs,
                 eps_max: float = DEFAULT_EPS_MAX) -> ScanGrid:
     """Classify a pair on a regular grid.  Closed-form pairs are evaluated
     in one vectorized pass; engine-only pairs are computed cell by cell in
-    row-major order."""
+    row-major order.  Raises ValueError when an entry is not finite, as
+    when large payoffs overflow, because the verdicts would be wrong."""
     if w_steps < 2 or eps_steps < 2:
         raise ValueError("need at least 2 steps per axis")
     if not 0.0 <= w_max < 1.0:
@@ -220,7 +239,8 @@ def scan_region(pair: str, g: GamePayoffs,
     eps_axis = np.linspace(0.0, eps_max, eps_steps)
     if spec.closed_form is not None:
         W, E = np.meshgrid(w_axis, eps_axis, indexing="ij")
-        a11, a12, a21, a22 = spec.closed_form(W, E, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a11, a12, a21, a22 = spec.closed_form(W, E, g)
     else:
         a11 = np.empty((w_steps, eps_steps))
         a12 = np.empty_like(a11)
@@ -231,6 +251,9 @@ def scan_region(pair: str, g: GamePayoffs,
                 m = engine_meta_matrix(spec.key, float(w), float(e), g)
                 a11[i, j], a12[i, j] = m[0]
                 a21[i, j], a22[i, j] = m[1]
+    if not all(np.isfinite(a).all() for a in (a11, a12, a21, a22)):
+        raise ValueError(f"scan of {spec.key!r} has non-finite meta-matrix "
+                         "entries; the payoffs overflow float64")
     codes = classify_codes(a11, a12, a21, a22, tie_tol)
     return ScanGrid(spec.key, w_axis, eps_axis,
                     np.asarray(a11, dtype=float), np.asarray(a12, dtype=float),

@@ -367,10 +367,11 @@ def _cf_classical_tft_alld(w, eps, g: GamePayoffs) -> CfResult:
             np.broadcast_to(P / (1.0 - w), shape))
 
 
-def _cf_ctft_allq(w, eps, g: GamePayoffs) -> CfResult:
-    # Every round pays the one-shot C-vs-Q value: the tit-for-tat side lags
-    # the constant side by one gate, so the accumulated pair alternates
-    # between (1 x Q)-like and (Q x 1)-like, never returning to identity.
+def _cf_c_vs_q(w, eps, g: GamePayoffs) -> CfResult:
+    # ctft-allq and qtft-allc: every round pays the one-shot C-vs-Q value.
+    # The tit-for-tat side lags the constant side by one gate, so the
+    # accumulated pair alternates between (1 x Q)-like and (Q x 1)-like,
+    # never returning to identity.
     R, P = g.R, g.P
     x, y = _cos2_sin2(eps)
     w = np.asarray(w, dtype=float)
@@ -402,16 +403,6 @@ def _cf_ctft_allh(w, eps, g: GamePayoffs) -> CfResult:
     a22 = (R + S + T + P + 4.0 * w * R) / (4.0 * (1.0 - w ** 2))
     a11, a12, a21, a22 = np.broadcast_arrays(a11, a12, a21, a22)
     return a11, a12, a21, a22
-
-
-def _cf_qtft_allc(w, eps, g: GamePayoffs) -> CfResult:
-    R, P = g.R, g.P
-    x, y = _cos2_sin2(eps)
-    w = np.asarray(w, dtype=float)
-    diag = R / (1.0 - w)
-    off = (R * x + P * y) / (1.0 - w)
-    diag, off = np.broadcast_arrays(diag, off)
-    return diag, off, off, diag
 
 
 def _cf_qtft_alld(w, eps, g: GamePayoffs) -> CfResult:
@@ -514,13 +505,13 @@ _EXPLICIT_PAIRS = {
                                    _S["ALLD"], classical=True,
                                    closed_form=_cf_classical_tft_alld),
     "ctft-allq": MetaPair("ctft-allq", _S["CTFT"], _S["ALLQ"],
-                          closed_form=_cf_ctft_allq),
+                          closed_form=_cf_c_vs_q),
     "ctft-alld": MetaPair("ctft-alld", _S["CTFT"], _S["ALLD"],
                           closed_form=_cf_ctft_alld),
     "ctft-allh": MetaPair("ctft-allh", _S["CTFT"], _S["ALLH"],
                           closed_form=_cf_ctft_allh),
     "qtft-allc": MetaPair("qtft-allc", _S["QTFT"], _S["ALLC"],
-                          closed_form=_cf_qtft_allc),
+                          closed_form=_cf_c_vs_q),
     "qtft-alld": MetaPair("qtft-alld", _S["QTFT"], _S["ALLD"],
                           closed_form=_cf_qtft_alld),
     "qtft-allh": MetaPair("qtft-allh", _S["QTFT"], _S["ALLH"],

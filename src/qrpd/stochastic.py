@@ -3,9 +3,10 @@ basis environments, the induced Markov reward chain, a seeded Monte Carlo
 estimator, and a comparator against the pure-state accumulation model.
 
 Randomness comes from numpy's Philox generator, a counter-based algorithm;
-a run is fully determined by the seed (sample i consumes column i of a
-single pre-drawn uniform block), so results do not depend on how work is
-scheduled.
+a run is fully determined by the seed (round k draws one row of uniforms
+and sample i consumes entry i of it), so results do not depend on how work
+is scheduled.  Drawing row by row gives the same stream as one
+(rounds, samples) block, in memory that grows with the samples only.
 """
 from __future__ import annotations
 
@@ -120,14 +121,15 @@ def monte_carlo_payoff(stratA: Strategy, stratB: Strategy, eps: float,
 
     n = cfg.samples
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    uniforms = rng.random((rounds, n))
+    uniforms = np.empty(n)
     envs = np.zeros(n, dtype=np.intp)
     alice = np.zeros(n)
     bob = np.zeros(n)
     weight = 1.0
     for k in range(rounds):
+        rng.random(out=uniforms)
         rows = cum[k][envs]                              # (n, 4)
-        nxt = (uniforms[k][:, None] > rows).sum(axis=1)
+        nxt = (uniforms[:, None] > rows).sum(axis=1)
         np.clip(nxt, 0, 3, out=nxt)
         alice += weight * a_vec[nxt]
         bob += weight * b_vec[nxt]

@@ -185,6 +185,16 @@ def test_computation_error_exits_1(capsys):
     assert code == 1
 
 
+def test_scan_with_overflowing_payoffs_exits_1(capsys):
+    # at w = 0.99 the discounted sums of these finite payoffs overflow
+    code, out, err = run_cli(capsys, "scan", "--pair", "ctft-alld",
+                             "--w-steps", "2", "--eps-steps", "2",
+                             "--payoffs", "1e307,0,9e306,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 
 HOSTILE = ("nan", "inf", "-5", "1e308", "null")
 # the same values as JSON spells them, for a slot of a --payoffs object
@@ -245,6 +255,8 @@ def hostile_argv(draw):
                "--eps-steps", "4", "--tie-tol=-5"])
 @example(argv=["scan", "--pair", "ctft-alld", "--w-steps", "3",
                "--eps-steps", "4", "--tie-tol=nan"])
+@example(argv=["scan", "--pair", "ctft-alld", "--w-steps", "2",
+               "--eps-steps", "2", "--payoffs", "1e307,0,9e306,1"])
 def test_hostile_flag_values_keep_the_error_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -160,6 +160,11 @@ def test_scan_validates_arguments(pd_game):
                         tie_tol=tie_tol)
         with pytest.raises(ValueError):
             classify_codes(3.0, 0.0, 5.0, 1.0, tie_tol)
+    # finite payoffs whose discounted sums overflow to inf would be
+    # classified NEITHER
+    with pytest.raises(ValueError, match="non-finite"):
+        scan_region("ctft-alld", GamePayoffs(1e307, 0, 9e306, 1),
+                    w_steps=2, eps_steps=2)
 
 
 def test_scan_fallback_engine_pair(pd_game):

@@ -104,6 +104,19 @@ def test_mc_reproducibility(pd_game):
     assert r3.mean != r1.mean
 
 
+def test_mc_seeded_values_are_pinned(pd_game):
+    """Exact means and standard errors for fixed seeds; any change to how
+    uniforms are drawn or consumed moves them."""
+    res = monte_carlo_payoff(ALLH, ALLD, 0.3, pd_game, 0.9, MCConfig(2000, 11))
+    assert res.rounds == 256
+    assert res.mean == (21.973820080257063, 22.672247019537956)
+    assert res.stderr == (0.07447402098395953, 0.09672857203253742)
+    res = monte_carlo_payoff(CTFT, ALLH, 0.5, pd_game, 0.6, MCConfig(1000, 7))
+    assert res.rounds == 51
+    assert res.mean == (5.845651318168994, 5.01339113399229)
+    assert res.stderr == (0.07886732103666907, 0.07228356046929689)
+
+
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         MCConfig(0, 1)
