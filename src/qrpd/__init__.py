@@ -7,11 +7,11 @@ Nash equilibria of named strategy pairings over the (discount,
 entanglement) plane.
 """
 from .actions import ActionTriple, RationalAngle, named_action, parse_action, rational_of
-from .game import BasisState, GamePayoffs, four_action_matrix, one_shot_payoffs, validate_pd
+from .game import BasisState, GamePayoffs, four_action_matrix, one_shot_payoffs
 from .nash import NEClassification, Verdict, analytic_condition, classify_strict_ne, scan_region
 from .qcore import TwoQubitState, Unitary2, basis_probabilities, entangler, evolve_round, make_unitary
 from .repeated import (PeriodInfo, RoundTrace, Strategy, closed_form_meta_matrix,
-                       detect_period, next_action, parse_strategy, periodic_payoff,
+                       detect_period, parse_strategy, periodic_payoff,
                        trace, truncated_payoff)
 from .stochastic import MCConfig, compare_models, markov_value, monte_carlo_payoff, propagator_matrix
 
@@ -24,7 +24,7 @@ __all__ = [
     "classify_strict_ne", "closed_form_meta_matrix", "compare_models",
     "detect_period", "entangler", "evolve_round", "four_action_matrix",
     "make_unitary", "markov_value", "monte_carlo_payoff", "named_action",
-    "next_action", "one_shot_payoffs", "parse_action", "parse_strategy",
+    "one_shot_payoffs", "parse_action", "parse_strategy",
     "periodic_payoff", "propagator_matrix", "rational_of", "scan_region",
-    "trace", "truncated_payoff", "validate_pd",
+    "trace", "truncated_payoff",
 ]

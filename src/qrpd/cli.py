@@ -66,7 +66,7 @@ def _parse_action_pair(text: str) -> Tuple[ActionTriple, ActionTriple]:
 
 
 def _dump(data) -> str:
-    return json.dumps(data, separators=(",", ":"))
+    return json.dumps(data, separators=(",", ":"), allow_nan=False)
 
 
 def _matrix_payload(pair: str, w: float, eps: float, g: GamePayoffs) -> dict:

@@ -61,29 +61,6 @@ class GamePayoffs:
 
 
 @dataclass(frozen=True)
-class PDReport:
-    """Dilemma validity plus the two defection incentives."""
-
-    pd_valid: bool
-    ordering_ok: bool           # T > R > P > S
-    welfare_ok: bool            # 2R > S + T
-    defect_gain_vs_cooperator: float   # T - R
-    defect_gain_vs_defector: float     # P - S
-
-
-def validate_pd(g: GamePayoffs) -> PDReport:
-    ordering = g.T > g.R > g.P > g.S
-    welfare = 2.0 * g.R > g.S + g.T
-    return PDReport(
-        pd_valid=ordering and welfare,
-        ordering_ok=ordering,
-        welfare_ok=welfare,
-        defect_gain_vs_cooperator=g.T - g.R,
-        defect_gain_vs_defector=g.P - g.S,
-    )
-
-
-@dataclass(frozen=True)
 class BasisState:
     a: int
     b: int

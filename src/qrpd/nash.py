@@ -23,6 +23,9 @@ DEFAULT_TIE_TOL = 1e-9
 DEFAULT_STEPS = 512
 DEFAULT_W_MAX = 0.99
 DEFAULT_EPS_MAX = math.pi / 4   # payoffs are symmetric about pi/4
+# A closed-form scan peaks near 90 bytes per cell, so this bounds a scan at
+# about 0.4 GB.
+MAX_SCAN_CELLS = 2048 * 2048
 
 
 class Verdict(str, Enum):
@@ -232,8 +235,13 @@ def scan_region(pair: str, g: GamePayoffs,
     when large payoffs overflow, because the verdicts would be wrong."""
     if w_steps < 2 or eps_steps < 2:
         raise ValueError("need at least 2 steps per axis")
+    if w_steps * eps_steps > MAX_SCAN_CELLS:
+        raise ValueError(f"scan of {w_steps} x {eps_steps} cells exceeds the "
+                         f"limit of {MAX_SCAN_CELLS} cells")
     if not 0.0 <= w_max < 1.0:
         raise ValueError("w_max must lie in [0, 1)")
+    if not 0.0 <= eps_max <= math.pi / 2:
+        raise ValueError("eps_max must lie in [0, pi/2]")
     spec = meta_pair(pair)
     w_axis = np.linspace(0.0, w_max, w_steps)
     eps_axis = np.linspace(0.0, eps_max, eps_steps)

@@ -1,7 +1,8 @@
-"""Repeated-game engine: reactive strategies, round traces under the
-accumulated-unitary protocol, discounted payoffs by truncation and by
-periodic resummation, environment period detection, and the registry of
-named strategy pairs with their closed-form 2x2 meta-game matrices.
+"""Repeated-game engine: reactive strategies and their lockstep round
+schedule, round traces under the accumulated-unitary protocol, discounted
+payoffs by truncation and by periodic resummation, environment period
+detection, and the registry of named strategy pairs with their closed-form
+2x2 meta-game matrices.
 
 A round-m state is the full m-round gate product evaluated inside one
 entangle/disentangle sandwich; equivalently the one-round sandwich applied
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -91,47 +92,32 @@ def parse_strategy(text: str) -> Strategy:
                    f"{', '.join(sorted(STRATEGIES))}, ALL:<t,a,p> or TFT:<action>")
 
 
-def next_action(strat: Strategy, round_index: int,
-                opponent_prev: Optional[ActionTriple]) -> ActionTriple:
-    """The action a strategy plays at a given round.
-
-    opponent_prev must be None exactly at round 1.
-    """
-    if round_index < 1:
-        raise ValueError("round_index starts at 1")
-    if round_index == 1 and opponent_prev is not None:
-        raise ValueError("round 1 has no previous opponent action")
-    if strat.kind is StrategyKind.CONSTANT:
-        return strat.action
-    if round_index == 1:
-        return strat.action
-    if opponent_prev is None:
-        raise ValueError("tit-for-tat needs the opponent's previous action "
-                         "after round 1")
-    return opponent_prev
-
-
-def action_sequence(stratA: Strategy, stratB: Strategy,
-                    rounds: int) -> List[Tuple[ActionTriple, ActionTriple]]:
-    """Simultaneous play: at each round both players react to the other's
-    previous-round action (mutual tit-for-tat copies in lockstep)."""
-    out: List[Tuple[ActionTriple, ActionTriple]] = []
-    prev_a: Optional[ActionTriple] = None
-    prev_b: Optional[ActionTriple] = None
-    for m in range(1, rounds + 1):
-        a = next_action(stratA, m, prev_b)
-        b = next_action(stratB, m, prev_a)
-        out.append((a, b))
-        prev_a, prev_b = a, b
-    return out
+def round_schedule(stratA: Strategy, stratB: Strategy, rounds: int
+                   ) -> Tuple[Tuple[Tuple[ActionTriple, ActionTriple], ...],
+                              np.ndarray]:
+    """Lockstep play: at each round both players react to the other's
+    previous-round action.  Returns the distinct (row, column) action pairs
+    in order of first play and, for rounds 1..rounds, the index of the pair
+    played.  Play repeats with period at most 2 after at most one opening
+    round."""
+    a, b = stratA.action, stratB.action
+    tft_a = stratA.kind is StrategyKind.TIT_FOR_TAT
+    tft_b = stratB.kind is StrategyKind.TIT_FOR_TAT
+    m = np.arange(rounds)
+    if tft_a and tft_b:
+        return ((a, b), (b, a)), m % 2
+    if tft_a:
+        return ((a, b), (b, b)), (m > 0).astype(np.intp)
+    if tft_b:
+        return ((a, b), (a, a)), (m > 0).astype(np.intp)
+    return ((a, b),), np.zeros(rounds, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Per-round record: actions, accumulated state, outcome probabilities,
+    """Per-round record: accumulated state, outcome probabilities,
     expected (row, column) payoffs."""
 
-    actions: Tuple[Tuple[ActionTriple, ActionTriple], ...]
     states: np.ndarray          # (rounds, 4) complex amplitudes
     probabilities: np.ndarray   # (rounds, 4)
     payoffs: np.ndarray         # (rounds, 2)
@@ -153,32 +139,26 @@ def check_discount(w: float) -> None:
 
 
 def _round_arrays(stratA: Strategy, stratB: Strategy, eps: float,
-                  rounds: int) -> Tuple[List[Tuple[ActionTriple, ActionTriple]],
-                                        np.ndarray, np.ndarray]:
+                  rounds: int) -> Tuple[np.ndarray, np.ndarray]:
     """States and probabilities for rounds 1..rounds."""
     check_epsilon(eps)
-    seq = action_sequence(stratA, stratB, rounds)
-    sandwich_cache: Dict[Tuple[ActionTriple, ActionTriple], np.ndarray] = {}
+    pairs, schedule = round_schedule(stratA, stratB, rounds)
+    ops = [round_operator(a.unitary(), b.unitary(), eps) for a, b in pairs]
     states = np.empty((rounds, 4), dtype=complex)
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1.0
-    for k, pair in enumerate(seq):
-        op = sandwich_cache.get(pair)
-        if op is None:
-            op = round_operator(pair[0].unitary(), pair[1].unitary(), eps)
-            sandwich_cache[pair] = op
-        vec = op @ vec
+    for k, i in enumerate(schedule.tolist()):
+        vec = ops[i] @ vec
         states[k] = vec
-    probs = np.abs(states) ** 2
-    return seq, states, probs
+    return states, np.abs(states) ** 2
 
 
 def trace(stratA: Strategy, stratB: Strategy, eps: float, g: GamePayoffs,
           rounds: int) -> RoundTrace:
     rounds = _check_rounds(rounds)
-    seq, states, probs = _round_arrays(stratA, stratB, eps, rounds)
+    states, probs = _round_arrays(stratA, stratB, eps, rounds)
     payoffs = np.stack([probs @ g.alice_vector(), probs @ g.bob_vector()], axis=1)
-    return RoundTrace(tuple(seq), states, probs, payoffs)
+    return RoundTrace(states, probs, payoffs)
 
 
 def truncation_rounds(g: GamePayoffs, w: float, tol: float) -> int:
@@ -261,7 +241,7 @@ def detect_period(stratA: Strategy, stratB: Strategy, eps: float,
     if search_limit < 2:
         raise ValueError("search_limit must be >= 2")
     _check_rounds(search_limit)
-    _, _, probs = _round_arrays(stratA, stratB, eps, search_limit)
+    _, probs = _round_arrays(stratA, stratB, eps, search_limit)
     found = _find_cycle(probs, PERIOD_TOL)
     if found is None:
         return PeriodInfo(None, None, search_limit)
@@ -311,11 +291,10 @@ def _classical_action_index(a: ActionTriple) -> int:
 def classical_payoff_sequence(stratA: Strategy, stratB: Strategy,
                               g: GamePayoffs, rounds: int) -> np.ndarray:
     table = np.array([[g.R, g.S], [g.T, g.P]])
-    out = np.empty((rounds, 2))
-    for k, (a, b) in enumerate(action_sequence(stratA, stratB, rounds)):
-        i, j = _classical_action_index(a), _classical_action_index(b)
-        out[k] = (table[i, j], table[j, i])
-    return out
+    pairs, schedule = round_schedule(stratA, stratB, rounds)
+    index = [(_classical_action_index(a), _classical_action_index(b))
+             for a, b in pairs]
+    return np.array([(table[i, j], table[j, i]) for i, j in index])[schedule]
 
 
 def classical_truncated_payoff(stratA: Strategy, stratB: Strategy,
@@ -572,7 +551,10 @@ def closed_form_meta_matrix(pair: str, w: float, eps: float,
     spec = meta_pair(pair)
     if spec.closed_form is None:
         raise UnsupportedPairError(f"pair {pair!r} has no closed form")
-    a11, a12, a21, a22 = spec.closed_form(w, eps, g)
+    check_discount(w)
+    check_epsilon(eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a11, a12, a21, a22 = spec.closed_form(w, eps, g)
     return np.array([[float(a11), float(a12)], [float(a21), float(a22)]])
 
 

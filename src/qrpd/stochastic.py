@@ -19,8 +19,9 @@ import numpy as np
 from .actions import ActionTriple
 from .game import GamePayoffs
 from .qcore import check_epsilon, round_operator
-from .repeated import (Strategy, action_sequence, check_discount, constant,
-                       trace, truncated_payoff, truncation_rounds)
+from .repeated import (DEFAULT_TRUNCATION_TOL, Strategy, _discounted,
+                       check_discount, round_schedule, trace,
+                       truncation_rounds)
 
 ROW_SUM_TOL = 1e-12
 MC_TAIL_TOL = 1e-10
@@ -98,16 +99,10 @@ def _round_transitions(stratA: Strategy, stratB: Strategy, eps: float,
     """Per-round cumulative transition rows (rounds, 4, 4); the action
     sequence is deterministic because strategies react to actions, not to
     measured outcomes."""
-    cum = np.empty((rounds, 4, 4))
-    cache = {}
-    for k, pair in enumerate(action_sequence(stratA, stratB, rounds)):
-        rows = cache.get(pair)
-        if rows is None:
-            rows = np.cumsum(propagator_matrix(pair[0], pair[1], eps).transition,
-                             axis=1)
-            cache[pair] = rows
-        cum[k] = rows
-    return cum
+    pairs, schedule = round_schedule(stratA, stratB, rounds)
+    rows = np.array([np.cumsum(propagator_matrix(a, b, eps).transition, axis=1)
+                     for a, b in pairs])
+    return rows[schedule]
 
 
 def monte_carlo_payoff(stratA: Strategy, stratB: Strategy, eps: float,
@@ -154,13 +149,10 @@ def collapse_value(stratA: Strategy, stratB: Strategy, eps: float,
     dist = np.array([1.0, 0.0, 0.0, 0.0])
     alice = bob = 0.0
     weight = 1.0
-    cache = {}
-    for pair in action_sequence(stratA, stratB, rounds):
-        P = cache.get(pair)
-        if P is None:
-            P = propagator_matrix(pair[0], pair[1], eps).transition
-            cache[pair] = P
-        dist = dist @ P
+    pairs, schedule = round_schedule(stratA, stratB, rounds)
+    transitions = [propagator_matrix(a, b, eps).transition for a, b in pairs]
+    for i in schedule.tolist():
+        dist = dist @ transitions[i]
         alice += weight * float(dist @ g.alice_vector())
         bob += weight * float(dist @ g.bob_vector())
         weight *= w
@@ -182,9 +174,10 @@ class ModelComparison:
 
 def compare_models(stratA: Strategy, stratB: Strategy, eps: float,
                    g: GamePayoffs, w: float) -> ModelComparison:
-    ua, ub, rounds = truncated_payoff(stratA, stratB, eps, g, w)
-    ca, cb = collapse_value(stratA, stratB, eps, g, w)
+    rounds = truncation_rounds(g, w, DEFAULT_TRUNCATION_TOL)
     t = trace(stratA, stratB, eps, g, rounds)
+    ua, ub = _discounted(t.payoffs, w)
+    ca, cb = collapse_value(stratA, stratB, eps, g, w)
     basis = bool(np.all(t.probabilities.max(axis=1) >= 1.0 - BASIS_STATE_TOL))
     return ModelComparison(
         unitary=(ua, ub),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -183,6 +184,17 @@ def test_computation_error_exits_1(capsys):
     code, _, err = run_cli(capsys, "oneshot", "--actions", "H,H",
                            "--epsilon", "2.0")
     assert code == 1
+    # closed-form pairs validate w and eps as the engine does, and an
+    # oversized scan is refused before any array is built
+    for argv in (("matrix", "--pair", "ctft-alld", "--w", "1.5", "--epsilon", "0.3"),
+                 ("matrix", "--pair", "ctft-alld", "--w", "-0.5", "--epsilon", "0.3"),
+                 ("matrix", "--pair", "ctft-allh", "--w", "0.5", "--epsilon", "-5"),
+                 ("matrix", "--pair", "ctft-allh", "--w", "0.5", "--epsilon", "100"),
+                 ("scan", "--pair", "ctft-alld", "--w-steps", "100000",
+                  "--eps-steps", "100000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_scan_with_overflowing_payoffs_exits_1(capsys):
@@ -193,6 +205,23 @@ def test_scan_with_overflowing_payoffs_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "non-finite" in err
+
+
+def test_overflowing_single_cell_queries_exit_1(capsys):
+    # the discounted values overflow to inf: strict JSON has no spelling
+    # for it, and the closed form must not warn on the way to the error
+    overflow = ("--w", "0.99", "--epsilon", "0.2",
+                "--payoffs", "1e307,0,9e306,1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("repeated", "--a", "CTFT", "--b", "ALLD", *overflow,
+                      "--mode", "periodic"),
+                     ("repeated", "--a", "ALLH", "--b", "ALLD", *overflow,
+                      "--mode", "markov"),
+                     ("matrix", "--pair", "ctft-alld", *overflow)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 

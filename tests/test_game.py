@@ -8,23 +8,9 @@ from hypothesis import strategies as st
 from qrpd.actions import named_action
 from qrpd.game import (FOUR_ACTION_ORDER, BasisState, GamePayoffs,
                        env_payoff_matrix, four_action_matrix,
-                       one_shot_payoffs, validate_pd)
+                       one_shot_payoffs)
 
 EPS_GRID = (0.0, 0.2, math.pi / 8, 0.5, math.pi / 4)
-
-
-def test_validate_pd_standard_game(pd_game):
-    report = validate_pd(pd_game)
-    assert report.pd_valid
-    assert report.defect_gain_vs_cooperator == 2
-    assert report.defect_gain_vs_defector == 1
-
-
-def test_validate_pd_degenerate_and_welfare_violations():
-    flat = validate_pd(GamePayoffs(1, 1, 1, 1))
-    assert not flat.pd_valid and not flat.ordering_ok
-    greedy = validate_pd(GamePayoffs(3, 0, 7, 1))
-    assert greedy.ordering_ok and not greedy.welfare_ok and not greedy.pd_valid
 
 
 def test_payoffs_parse_forms():

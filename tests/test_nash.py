@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qrpd.game import GamePayoffs
-from qrpd.nash import (Verdict, analytic_condition, classical_baseline,
-                       classify_codes, classify_strict_ne, condition_pairs,
-                       scan_region)
+from qrpd.nash import (MAX_SCAN_CELLS, Verdict, analytic_condition,
+                       classical_baseline, classify_codes, classify_strict_ne,
+                       condition_pairs, scan_region)
 from qrpd.repeated import closed_form_meta_matrix, engine_meta_matrix
 
 
@@ -152,6 +152,14 @@ def test_scan_validates_arguments(pd_game):
         scan_region("ctft-alld", pd_game, w_steps=1)
     with pytest.raises(ValueError):
         scan_region("ctft-alld", pd_game, w_max=1.0)
+    for eps_max in (-0.1, 2.0, math.nan):
+        with pytest.raises(ValueError, match="eps_max"):
+            scan_region("ctft-alld", pd_game, w_steps=2, eps_steps=2,
+                        eps_max=eps_max)
+    # rejected from the step counts alone, before any array is built
+    with pytest.raises(ValueError, match="exceeds"):
+        scan_region("ctft-alld", pd_game, w_steps=MAX_SCAN_CELLS // 2 + 1,
+                    eps_steps=2)
     # a negative tolerance would call a deviation gain of up to 5 strict NE,
     # and nan would call every cell NEITHER
     for tie_tol in (-5.0, math.nan, math.inf):

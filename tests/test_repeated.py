@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from qrpd.actions import ActionTriple, named_action
 from qrpd.game import GamePayoffs
+from qrpd.qcore import round_operator
 from qrpd.repeated import (MAX_ROUNDS, STRATEGIES, PeriodNotFoundError,
-                           Strategy, UnsupportedPairError, action_sequence,
+                           Strategy, StrategyKind, UnsupportedPairError,
                            classical_periodic_payoff,
                            classical_truncated_payoff,
                            closed_form_meta_matrix, constant, detect_period,
-                           engine_meta_matrix, meta_pair, next_action,
-                           parse_strategy, periodic_payoff, tit_for_tat,
+                           engine_meta_matrix, meta_pair, parse_strategy,
+                           periodic_payoff, round_schedule, tit_for_tat,
                            trace, truncated_payoff)
 
 ALLC, ALLD, ALLQ = STRATEGIES["ALLC"], STRATEGIES["ALLD"], STRATEGIES["ALLQ"]
@@ -30,21 +31,6 @@ TABULATED = ("classical-tft-alld", "ctft-allq", "ctft-alld", "ctft-allh",
 
 # --- strategy mechanics ----------------------------------------------------
 
-def test_next_action_examples():
-    assert next_action(CTFT, 1, None) == named_action("C")
-    assert next_action(CTFT, 5, named_action("D")) == named_action("D")
-    assert next_action(ALLH, 7, named_action("D")) == named_action("H")
-
-
-def test_next_action_contract_violations():
-    with pytest.raises(ValueError):
-        next_action(CTFT, 2, None)
-    with pytest.raises(ValueError):
-        next_action(CTFT, 1, named_action("D"))
-    with pytest.raises(ValueError):
-        next_action(CTFT, 0, None)
-
-
 def test_parse_strategy_forms():
     assert parse_strategy("ctft") == CTFT
     assert parse_strategy("TFT:Q") == tit_for_tat(named_action("Q"))
@@ -55,10 +41,49 @@ def test_parse_strategy_forms():
         parse_strategy("SOMETIMES")
 
 
+def _schedule_names(sa, sb, rounds):
+    pairs, schedule = round_schedule(sa, sb, rounds)
+    return [(pairs[i][0].name, pairs[i][1].name) for i in schedule]
+
+
 def test_mutual_tft_copies_simultaneously():
-    seq = action_sequence(CTFT, QTFT, 4)
-    names = [(a.name, b.name) for a, b in seq]
-    assert names == [("C", "Q"), ("Q", "C"), ("C", "Q"), ("Q", "C")]
+    assert _schedule_names(CTFT, QTFT, 4) == [("C", "Q"), ("Q", "C"),
+                                              ("C", "Q"), ("Q", "C")]
+    assert _schedule_names(CTFT, ALLD, 3) == [("C", "D"), ("D", "D"),
+                                              ("D", "D")]
+    assert _schedule_names(ALLH, QTFT, 3) == [("H", "Q"), ("H", "H"),
+                                              ("H", "H")]
+    assert _schedule_names(ALLH, ALLD, 2) == [("H", "D"), ("H", "D")]
+
+
+TFT_D, TFT_MIXED = parse_strategy("TFT:D"), parse_strategy("TFT:1,0.5,0.2")
+LOCKSTEP_PAIRS = ((TFT_D, QTFT), (TFT_MIXED, QTFT), (QTFT, TFT_MIXED),
+                  (CTFT, ALLR3), (ALLH, QTFT), (ALLD, ALLR3))
+
+
+def _lockstep_payoffs(sa, sb, eps, g, rounds):
+    """Reference rollout: every round both players react to the other's
+    previous action, and that round's sandwich is built afresh."""
+    a, b = sa.action, sb.action
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = 1.0
+    out = []
+    for _ in range(rounds):
+        vec = round_operator(a.unitary(), b.unitary(), eps) @ vec
+        probs = np.abs(vec) ** 2
+        out.append((probs @ g.alice_vector(), probs @ g.bob_vector()))
+        a, b = (b if sa.kind is StrategyKind.TIT_FOR_TAT else a,
+                a if sb.kind is StrategyKind.TIT_FOR_TAT else b)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rounds", (1, 2, 3, 7, 1000))
+@pytest.mark.parametrize("sa, sb", LOCKSTEP_PAIRS,
+                         ids=lambda s: s.label())
+def test_trace_matches_per_round_lockstep_loop(pd_game, sa, sb, rounds):
+    expected = _lockstep_payoffs(sa, sb, 0.3, pd_game, rounds)
+    np.testing.assert_allclose(trace(sa, sb, 0.3, pd_game, rounds).payoffs,
+                               expected, rtol=0, atol=1e-12)
 
 
 # --- traces ----------------------------------------------------------------
@@ -197,7 +222,10 @@ def test_periodic_allc_vs_allr3(pd_game):
 
 
 def test_periodic_matches_truncated(pd_game):
-    for pair in ((ALLD, ALLR3), (CTFT, ALLH), (QTFT, ALLD)):
+    # (TFT:D, QTFT) cycles with period 4 at this eps; (TFT:1,0.5,0.2, QTFT)
+    # has no cycle within the search limit and is checked against the
+    # per-round loop only
+    for pair in ((ALLD, ALLR3), (CTFT, ALLH), (QTFT, ALLD), (TFT_D, QTFT)):
         for w in (0.2, 0.6, 0.9):
             pa, pb = periodic_payoff(pair[0], pair[1], 0.33, pd_game, w)
             ta, tb, _ = truncated_payoff(pair[0], pair[1], 0.33, pd_game, w)
